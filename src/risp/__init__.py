@@ -15,7 +15,6 @@ Quick start::
 from .cohort import (
     Cohort,
     build_cohort,
-    gram_matrix,
     load_gram_fixture,
     save_gram_fixture,
 )
@@ -32,7 +31,6 @@ from .disambig import (
     disambiguate_from_gram,
     evaluate_level,
     init_clusters,
-    label_sense,
     merge_closest,
     summarize,
 )
@@ -104,9 +102,7 @@ __all__ = [
     "disambiguate_from_gram",
     "distance",
     "evaluate_level",
-    "gram_matrix",
     "init_clusters",
-    "label_sense",
     "load_gram_fixture",
     "load_index",
     "merge_closest",

@@ -64,19 +64,12 @@ def _build_parser() -> _Parser:
                          help=f"index file to write (default: ${ENV_INDEX})")
     _add_corpus_flags(p_build)
     _add_config_flags(p_build)
-    p_build.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="upper bound on worker parallelism")
-    p_build.add_argument("--deterministic-merge", action="store_true",
-                         help="force a fixed accumulation order (always on: "
-                              "accumulation is sequential, rebuilds are byte-identical)")
 
     p_update = sub.add_parser("update", help="fold more documents into an index")
     p_update.add_argument("-i", "--input", required=True, help="corpus file or directory")
     add_index(p_update)
     _add_corpus_flags(p_update)
     _add_config_flags(p_update)
-    p_update.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p_update.add_argument("--deterministic-merge", action="store_true")
 
     p_dis = sub.add_parser("disambig", help="induce senses, one JSON record per line")
     p_dis.add_argument("terms", nargs="*", help="terms to disambiguate")
@@ -101,8 +94,6 @@ def _build_parser() -> _Parser:
     p_dis.add_argument("--gram", help="cluster a plain-text gram matrix file instead of an index")
     p_dis.add_argument("--parent", help="with --gram: parent row label (default: first)")
     p_dis.add_argument("-o", "--output", help="write JSON lines here instead of stdout")
-    p_dis.add_argument("--threads", type=int, default=1,
-                       help="batch fan-out thread count")
 
     p_nb = sub.add_parser("neighbors", help="nearest vocabulary terms")
     p_nb.add_argument("term")
@@ -171,14 +162,32 @@ _SETTING_KINDS = {
     "lowercase": bool, "drop_digits": bool, "split_sentences": bool,
 }
 
+_SETTING_DEFAULTS = {
+    "dim": 300, "window": 11, "global_seed": 0, "distribution": "gaussian",
+    "ternary_k": 8, "min_count": 5, "max_doc_freq": 0.10, "stoplist": None,
+    "lowercase": True, "drop_digits": False, "split_sentences": False,
+}
 
-def _gather_settings(args) -> dict:
-    """Defaults <- config file <- explicit flags, in increasing precedence."""
-    settings = {
-        "dim": 300, "window": 11, "global_seed": 0, "distribution": "gaussian",
-        "ternary_k": 8, "min_count": 5, "max_doc_freq": 0.10, "stoplist": None,
-        "lowercase": True, "drop_digits": False, "split_sentences": False,
-    }
+# Each setting's value as a loaded index holds it; the stoplist is compared
+# as the set of terms its file yields.
+_INDEX_SETTINGS = {
+    "dim": lambda s: s.config.dim,
+    "window": lambda s: s.config.window,
+    "global_seed": lambda s: s.config.seed_scheme.global_seed,
+    "distribution": lambda s: s.config.seed_scheme.distribution,
+    "ternary_k": lambda s: s.config.seed_scheme.ternary_nonzeros,
+    "min_count": lambda s: s.ingest_config.min_count,
+    "max_doc_freq": lambda s: s.ingest_config.max_doc_frequency,
+    "stoplist": lambda s: s.ingest_config.stoplist,
+    "lowercase": lambda s: s.ingest_config.lowercase,
+    "drop_digits": lambda s: s.ingest_config.drop_digit_tokens,
+    "split_sentences": lambda s: s.ingest_config.split_sentences,
+}
+
+
+def _given_settings(args) -> dict:
+    """Settings the user gave: config file <- explicit flags, in increasing precedence."""
+    settings = {}
     if args.config:
         for key, raw in _parse_config_file(args.config).items():
             if key not in _SETTING_KINDS:
@@ -198,15 +207,18 @@ def _gather_settings(args) -> dict:
     return settings
 
 
+def _read_stoplist(path, lowercase: bool) -> frozenset[str]:
+    if not path:
+        return frozenset()
+    entries = Path(path).read_text(encoding="utf-8").split()
+    return frozenset(e.lower() if lowercase else e for e in entries)
+
+
 def _configs_from_settings(settings) -> tuple[IngestConfig, SpaceConfig]:
-    stoplist = frozenset()
-    if settings["stoplist"]:
-        entries = Path(settings["stoplist"]).read_text(encoding="utf-8").split()
-        stoplist = frozenset(e.lower() if settings["lowercase"] else e for e in entries)
     ingest = IngestConfig(
         min_count=settings["min_count"],
         max_doc_frequency=settings["max_doc_freq"],
-        stoplist=stoplist,
+        stoplist=_read_stoplist(settings["stoplist"], settings["lowercase"]),
         lowercase=settings["lowercase"],
         drop_digit_tokens=settings["drop_digits"],
         split_sentences=settings["split_sentences"],
@@ -219,6 +231,18 @@ def _configs_from_settings(settings) -> tuple[IngestConfig, SpaceConfig]:
         ternary_nonzeros=settings["ternary_k"],
     )
     return ingest, space_cfg
+
+
+def _update_conflicts(given: dict, space: SemanticSpace) -> list[str]:
+    """One message per given setting that differs from the index's value."""
+    stored = {key: read(space) for key, read in _INDEX_SETTINGS.items()}
+    if "stoplist" in given:
+        given = {**given, "stoplist": _read_stoplist(given["stoplist"], stored["lowercase"])}
+    return [
+        f"{key}={value!r} conflicts with index value {stored[key]!r}"
+        for key, value in given.items()
+        if value != stored[key]
+    ]
 
 
 def _require_index(path, parser) -> str:
@@ -250,7 +274,7 @@ def _index_lock(index_path: str):
 
 def _cmd_build(args, parser) -> int:
     out_path = _require_index(args.output, parser)
-    ingest_cfg, space_cfg = _configs_from_settings(_gather_settings(args))
+    ingest_cfg, space_cfg = _configs_from_settings({**_SETTING_DEFAULTS, **_given_settings(args)})
     corpus = open_corpus(args.input, args.input_format)
     started = time.perf_counter()
     space = build(corpus, ingest_cfg, space_cfg)
@@ -267,29 +291,16 @@ def _cmd_build(args, parser) -> int:
     return 0
 
 
-_UPDATE_CHECKS = (
-    ("dim", lambda s: s.config.dim),
-    ("window", lambda s: s.config.window),
-    ("global_seed", lambda s: s.config.seed_scheme.global_seed),
-    ("distribution", lambda s: s.config.seed_scheme.distribution),
-    ("min_count", lambda s: s.ingest_config.min_count),
-    ("max_doc_freq", lambda s: s.ingest_config.max_doc_frequency),
-)
-
-
 def _cmd_update(args, parser) -> int:
     index_path = _require_index(args.index, parser)
+    given = _given_settings(args)
     with _index_lock(index_path):
         space = SemanticSpace.load(index_path)
-        for key, getter in _UPDATE_CHECKS:
-            wanted = getattr(args, key)
-            if wanted is not None and wanted != getter(space):
-                print(
-                    f"error: --{key.replace('_', '-')}={wanted} conflicts with "
-                    f"index value {getter(space)}; updates reuse the stored config",
-                    file=sys.stderr,
-                )
-                return 1
+        conflicts = _update_conflicts(given, space)
+        for message in conflicts:
+            print(f"error: {message}; updates reuse the stored config", file=sys.stderr)
+        if conflicts:
+            return 1
         corpus = open_corpus(args.input, args.input_format)
         before_terms = space.vocabulary_size
         before_events = dict(zip(space.terms(), space._events.tolist()))
@@ -350,9 +361,7 @@ def _cmd_disambig(args, parser) -> int:
 
         space = SemanticSpace.load(_require_index(args.index, parser))
         if args.batch:
-            results = batch_disambiguate(
-                space, cfg, terms=args.terms or None, n_workers=max(1, args.threads)
-            )
+            results = batch_disambiguate(space, cfg, terms=args.terms or None)
             summary_input = []
             produced = 0
             for result in results:
@@ -405,7 +414,6 @@ def _cmd_stats(args, parser) -> int:
     lines = [
         ("dimension", space.config.dim),
         ("window", space.config.window),
-        ("weight scheme", space.config.weight_scheme),
         ("distribution", scheme.distribution),
         ("global seed", scheme.global_seed),
         ("vocabulary terms", space.vocabulary_size),

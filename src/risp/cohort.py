@@ -80,16 +80,6 @@ def cohort_units(space: SemanticSpace, cohort: Cohort) -> np.ndarray:
     return np.stack([space.unit_vector(m) for m in cohort.members])
 
 
-def gram_matrix(space: SemanticSpace, cohort: Cohort) -> np.ndarray:
-    """All pairwise similarities between cohort members.
-
-    Exactly symmetric with a unit diagonal; entry (i, j) equals
-    ``space.similarity(members[i], members[j])`` up to blocked-reduction
-    rounding (within 1e-9).
-    """
-    return gram_of_units(cohort_units(space, cohort))
-
-
 def save_gram_fixture(path, labels, gram, decimals: int = 6) -> None:
     """Write a labeled gram matrix in the plain-text fixture layout.
 

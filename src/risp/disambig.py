@@ -17,7 +17,6 @@ no vectors anywhere in sight.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -62,10 +61,12 @@ class ClusterState:
     """One step of the agglomerative merge.
 
     ``products`` holds raw inner products of cluster sum vectors (diagonal =
-    squared norms); ``sums`` holds the explicit sums when the run is backed
-    by a space, None when running from a gram matrix alone. ``merged_pair``
-    is the (row, col) index pair, in the previous state's indexing, whose
-    merge produced this state.
+    squared norms). ``origin`` lists each cluster's cohort rows. The cohort's
+    ``base_gram``, ``parent_sims`` (each member's similarity to the parent
+    term) and ``units`` (member unit vectors, None when no space backs the
+    run) stay fixed for the whole run. ``merged_pair`` is the (row, col)
+    index pair, in the previous state's indexing, whose merge produced this
+    state.
     """
 
     def __init__(
@@ -74,16 +75,16 @@ class ClusterState:
         origin: list[tuple[int, ...]],
         products: np.ndarray,
         base_gram: np.ndarray,
-        sums: np.ndarray | None = None,
-        parent_products: np.ndarray | None = None,
+        parent_sims: np.ndarray | None = None,
+        units: np.ndarray | None = None,
         merged_pair: tuple[int, int] | None = None,
     ):
         self.members = members
         self.origin = origin
         self.products = products
         self.base_gram = base_gram
-        self.sums = sums
-        self.parent_products = parent_products
+        self.parent_sims = parent_sims
+        self.units = units
         self.merged_pair = merged_pair
 
     @property
@@ -121,7 +122,7 @@ def init_clusters(
         raise ValueError("gram matrix shape does not match member count")
     parent = None
     if parent_sims is not None:
-        parent = np.asarray(parent_sims, dtype=np.float64).copy()
+        parent = np.asarray(parent_sims, dtype=np.float64)
         if parent.shape != (len(names),):
             raise ValueError("parent similarities length does not match member count")
     return ClusterState(
@@ -129,8 +130,8 @@ def init_clusters(
         origin=[(i,) for i in range(len(names))],
         products=gram.copy(),
         base_gram=gram,
-        sums=None if units is None else np.array(units, dtype=np.float64),
-        parent_products=parent,
+        parent_sims=parent,
+        units=None if units is None else np.asarray(units, dtype=np.float64),
     )
 
 
@@ -158,22 +159,13 @@ def merge_closest(state: ClusterState) -> ClusterState:
     origin[a] = origin[a] + origin[b]
     del origin[b]
 
-    sums = None
-    if state.sums is not None:
-        sums = np.delete(state.sums, b, axis=0)
-        sums[a] = state.sums[a] + state.sums[b]
-    parent = None
-    if state.parent_products is not None:
-        parent = np.delete(state.parent_products, b)
-        parent[a] = state.parent_products[a] + state.parent_products[b]
-
     return ClusterState(
         members=members,
         origin=origin,
         products=products,
         base_gram=state.base_gram,
-        sums=sums,
-        parent_products=parent,
+        parent_sims=state.parent_sims,
+        units=state.units,
         merged_pair=(a, b),
     )
 
@@ -254,71 +246,37 @@ def _round6(value: float | None) -> float | None:
     return None if value is None else round(float(value), 6)
 
 
-def _rank_cluster_members(
-    state: ClusterState,
-    cluster: int,
-    vector: np.ndarray | None,
-    space: SemanticSpace | None,
-) -> list[str]:
-    """Cluster members sorted by similarity to the cluster centroid."""
-    names = state.members[cluster]
-    if space is not None and vector is not None:
-        sims = [float(np.dot(space.unit_vector(m), vector)) for m in names]
-    else:
-        norm = float(np.sqrt(state.products[cluster, cluster]))
-        rows = np.asarray(state.origin[cluster])
-        sims = (state.base_gram[np.ix_(rows, rows)].sum(axis=1) / norm).tolist()
-    ranked = sorted(zip(names, sims), key=lambda pair: (-pair[1], pair[0]))
-    return [name for name, _ in ranked]
-
-
-def label_sense(
-    space: SemanticSpace,
-    sense: Sense,
-    label_len: int = 7,
-    mode: str = "members",
-) -> tuple[str, ...]:
-    """Label a sense by its top members, or by global nearest neighbors."""
-    if sense.vector is None:
-        raise ValueError("sense has no vector; labels need a space-backed run")
-    if mode == "members":
-        sims = [(m, float(np.dot(space.unit_vector(m), sense.vector))) for m in sense.members]
-        sims.sort(key=lambda pair: (-pair[1], pair[0]))
-        return tuple(name for name, _ in sims[:label_len])
-    if mode == "global":
-        return tuple(name for name, _ in space.neighbors(sense.vector, label_len))
-    raise ValueError(f"unknown label mode: {mode!r}")
-
-
 def _senses_at(
     state: ClusterState,
     cfg: DisambigConfig,
     space: SemanticSpace | None,
-    parent_unit: np.ndarray | None,
 ) -> tuple[Sense, ...]:
+    """Every cluster's sense, worked out from its cohort rows.
+
+    A cluster's centroid is the sum of its members' unit vectors, so its
+    similarity to the parent and to each member are sums over cohort rows
+    divided by the centroid norm; the explicit vector is formed only when
+    the run has units.
+    """
     senses = []
-    for cluster in range(state.K):
-        if state.sums is not None:
-            total = state.sums[cluster]
+    for cluster, origin in enumerate(state.origin):
+        rows = np.asarray(origin)
+        norm = float(np.sqrt(state.products[cluster, cluster]))
+        vector = None
+        if state.units is not None:
+            total = state.units[rows].sum(axis=0)
             vector = total / float(np.linalg.norm(total))
-            sim_parent = float(np.dot(vector, parent_unit)) if parent_unit is not None else 0.0
-        else:
-            vector = None
-            norm = float(np.sqrt(state.products[cluster, cluster]))
-            sim_parent = (
-                float(state.parent_products[cluster] / norm)
-                if state.parent_products is not None
-                else 0.0
-            )
-        ranked = _rank_cluster_members(state, cluster, vector, space)
+        names = state.members[cluster]
         if cfg.label_mode == "global":
-            label = label_sense(space, Sense((), 0.0, (), vector), cfg.label_len, "global")
+            label = tuple(name for name, _ in space.neighbors(vector, cfg.label_len))
         else:
-            label = tuple(ranked[: cfg.label_len])
+            sims = (state.base_gram[np.ix_(rows, rows)].sum(axis=1) / norm).tolist()
+            ranked = sorted(zip(names, sims), key=lambda pair: (-pair[1], pair[0]))
+            label = tuple(name for name, _ in ranked[: cfg.label_len])
         senses.append(
             Sense(
-                members=tuple(state.members[cluster]),
-                sim_to_parent=sim_parent,
+                members=names,
+                sim_to_parent=float(state.parent_sims[rows].sum() / norm),
                 label=label,
                 vector=vector,
             )
@@ -338,7 +296,6 @@ def _run_levels(
     state: ClusterState,
     cfg: DisambigConfig,
     space: SemanticSpace | None = None,
-    parent_unit: np.ndarray | None = None,
 ) -> tuple[tuple[LevelResult, ...], int | None]:
     want = sorted({int(k) for k in cfg.levels}, reverse=True)
     reachable = {k for k in want if k <= state.K}
@@ -352,7 +309,7 @@ def _run_levels(
                 evaluated=True,
                 valid=valid,
                 max_intercluster_sim=max_sim,
-                senses=_senses_at(st, cfg, space, parent_unit),
+                senses=_senses_at(st, cfg, space),
             )
 
     record(state)
@@ -382,7 +339,7 @@ def disambiguate(
     [min_freq, max_freq], unless ``force`` is set.
     """
     cfg = cfg or DisambigConfig()
-    parent_unit = space.unit_vector(term)
+    space.unit_vector(term)  # unknown and zero-vector terms fail before the band check
     frequency = space.freq.total_count(term)
     if not force and not cfg.min_freq <= frequency <= cfg.max_freq:
         raise FrequencyBandError(
@@ -393,7 +350,7 @@ def disambiguate(
     units = cohort_units(space, cohort)
     gram = gram_of_units(units)
     state = init_clusters(cohort, gram, units=units)
-    levels, default = _run_levels(state, cfg, space=space, parent_unit=parent_unit)
+    levels, default = _run_levels(state, cfg, space=space)
     return Disambiguation(term=term, frequency=frequency, levels=levels, default_level=default)
 
 
@@ -451,7 +408,6 @@ def batch_disambiguate(
     space: SemanticSpace,
     cfg: DisambigConfig | None = None,
     terms: Iterable[str] | None = None,
-    n_workers: int = 1,
 ) -> Iterator[Disambiguation]:
     """Disambiguate every in-band vocabulary term, sorted, skipping failures."""
     cfg = cfg or DisambigConfig()
@@ -463,25 +419,13 @@ def batch_disambiguate(
         t for t in candidates
         if cfg.min_freq <= space.freq.total_count(t) <= cfg.max_freq
     )
-    space.nonzero_unit_rows()  # warm the unit cache before any fan-out
-
-    def work(term: str) -> Disambiguation | None:
+    for term in candidates:
         try:
-            return disambiguate(space, term, cfg)
+            result = disambiguate(space, term, cfg)
         except RispError as exc:
             logger.warning("skipping %r: %s", term, exc)
-            return None
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for result in pool.map(work, candidates):
-                if result is not None:
-                    yield result
-    else:
-        for term in candidates:
-            result = work(term)
-            if result is not None:
-                yield result
+            continue
+        yield result
 
 
 def summarize(results: Iterable[Disambiguation]) -> BatchSummary:

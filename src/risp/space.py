@@ -5,8 +5,9 @@ term that co-occurs with it inside a fixed symmetric window, clipped at
 document (or sentence) boundaries. Sums are never normalized in place;
 similarity is the cosine of the normalized sums, so the space can keep
 absorbing documents without ever revisiting old ones. Seeds are derived from
-term strings alone, which is what makes update(build(A), B) agree with
-build(A + B): vocabulary growth never perturbs existing vectors.
+term strings alone, so vocabulary growth never perturbs existing vectors and
+update(build(A), B) equals build(A + B) whenever A alone already yields the
+significant set of A + B.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .ingest import (
 )
 from .seeds import GAUSSIAN, SeedBank, SeedScheme
 
-_WEIGHT_CODES = {"uniform": 0}
-_WEIGHT_NAMES = {v: k for k, v in _WEIGHT_CODES.items()}
-
 #: Guard band for similarity values that drift past [-1, 1] by rounding.
 SIM_TOLERANCE = 1e-9
 
@@ -41,29 +39,16 @@ class SpaceConfig:
     dim: int = 300
     window: int = 11
     seed_scheme: SeedScheme = SeedScheme()
-    weight_scheme: str = "uniform"
 
     def __post_init__(self) -> None:
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 3")
         if self.dim != self.seed_scheme.dim:
             raise ValueError("dim must match seed_scheme.dim")
-        if self.weight_scheme not in _WEIGHT_CODES:
-            raise ValueError(f"unknown weight scheme: {self.weight_scheme!r}")
 
     @property
     def radius(self) -> int:
         return (self.window - 1) // 2
-
-    @property
-    def weight_code(self) -> int:
-        return _WEIGHT_CODES[self.weight_scheme]
-
-    @staticmethod
-    def weight_name(code: int) -> str:
-        if code not in _WEIGHT_NAMES:
-            raise ValueError(f"unknown weight scheme code: {code}")
-        return _WEIGHT_NAMES[code]
 
     @classmethod
     def create(

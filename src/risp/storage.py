@@ -3,7 +3,7 @@
 Little-endian layout, strings UTF-8 with u32 byte-length prefixes:
 
     magic "RISP" | version u32
-    dim u32 | window u32 | weight u8 | distribution u8 | ternary_k u32
+    dim u32 | window u32 | reserved u8 (always 0) | distribution u8 | ternary_k u32
     global_seed u64
     min_count u32 | max_doc_frequency f64
     lowercase u8 | drop_digit_tokens u8 | split_sentences u8
@@ -18,9 +18,10 @@ Little-endian layout, strings UTF-8 with u32 byte-length prefixes:
 
 Vocabulary records hold only terms that passed the significance filter; the
 tail table keeps the counts of everything else so later updates can detect
-terms crossing min_count. Sums accumulate in float64 in memory and are
-stored as float32; a load reproduces the stored float32 values exactly, so
-save -> load -> save is byte-identical.
+terms crossing min_count. Both store the frequency table's corpus totals,
+which also count a term's occurrences while it was not significant. Sums
+accumulate in float64 in memory and are stored as float32; a load reproduces
+the stored float32 values exactly, so save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def save_index(space: SemanticSpace, path) -> None:
     ing = space.ingest_config
     w.raw(MAGIC)
     w.pack("<I", VERSION)
-    w.pack("<IIBBI", cfg.dim, cfg.window, cfg.weight_code,
+    w.pack("<IIBBI", cfg.dim, cfg.window, 0,
            cfg.seed_scheme.distribution_code, cfg.seed_scheme.ternary_nonzeros)
     w.pack("<Q", cfg.seed_scheme.global_seed)
     w.pack("<Id", ing.min_count, ing.max_doc_frequency)
@@ -169,7 +170,7 @@ def save_index(space: SemanticSpace, path) -> None:
         w.string(term)
         w.pack(
             "<QQQ",
-            int(space._frequency[row]),
+            space.freq.total_count(term),
             space.freq.doc_count(term),
             int(space._events[row]),
         )
@@ -200,7 +201,9 @@ def load_index(path) -> SemanticSpace:
     if version != VERSION:
         raise IndexFormatError(f"unsupported index version: {version}")
 
-    dim, window, weight_code, dist_code, ternary_k = r.unpack("<IIBBI")
+    dim, window, reserved, dist_code, ternary_k = r.unpack("<IIBBI")
+    if reserved != 0:
+        raise IndexFormatError(f"invalid index header: reserved byte is {reserved}, not 0")
     (global_seed,) = r.unpack("<Q")
     min_count, max_doc_frequency = r.unpack("<Id")
     lowercase, drop_digits, split_sentences = r.unpack("<BBB")
@@ -215,10 +218,7 @@ def load_index(path) -> SemanticSpace:
             distribution=SeedScheme.distribution_name(dist_code),
             ternary_nonzeros=ternary_k if ternary_k else 8,
         )
-        space_config = SpaceConfig(
-            dim=dim, window=window,
-            seed_scheme=scheme, weight_scheme=SpaceConfig.weight_name(weight_code),
-        )
+        space_config = SpaceConfig(dim=dim, window=window, seed_scheme=scheme)
         ingest_config = IngestConfig(
             min_count=min_count,
             max_doc_frequency=max_doc_frequency,

@@ -5,9 +5,27 @@ import json
 import pytest
 
 from conftest import FIXTURES, TINY_DOCS
-from risp.cli import main
+from risp.cli import _SETTING_KINDS, main
 
 BUILD_FLAGS = ["--min-count", "3", "--max-doc-freq", "1.0", "--dim", "64"]
+
+# One update argument list per setting, each at odds with an index built
+# with BUILD_FLAGS; "stoplist.txt" and "conf.txt" name files in the test's
+# directory.
+CONFLICTS = {
+    "dim": ["--dim", "128"],
+    "window": ["--window", "7"],
+    "global_seed": ["--global-seed", "1"],
+    "distribution": ["--distribution", "ternary"],
+    "ternary_k": ["--ternary-k", "4"],
+    "min_count": ["--min-count", "4"],
+    "max_doc_freq": ["--max-doc-freq", "0.5"],
+    "stoplist": ["--stoplist", "stoplist.txt"],
+    "lowercase": ["--no-lowercase"],
+    "drop_digits": ["--drop-digits"],
+    "split_sentences": ["--split-sentences"],
+    "config": ["--config", "conf.txt"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -213,14 +231,28 @@ class TestUpdate:
         assert not (tmp_path / "upd.risp.lock").exists()
         assert main(["neighbors", "pears", "--index", str(idx), "-k", "1"]) == 0
 
-    def test_conflicting_settings_are_refused(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("key", [*_SETTING_KINDS, "config"])
+    def test_conflicting_settings_are_refused(self, workdir, tmp_path, capsys, key):
         idx = tmp_path / "conf.risp"
         main(["build", "-i", str(workdir / "corpus.txt"), "-o", str(idx), *BUILD_FLAGS])
+        (tmp_path / "stoplist.txt").write_text("the\n", encoding="utf-8")
+        (tmp_path / "conf.txt").write_text("dim=32\n", encoding="utf-8")
+        before = idx.read_bytes()
         capsys.readouterr()
-        code = main(["update", "-i", str(workdir / "corpus.txt"), "--index", str(idx),
-                     "--dim", "128"])
+        args = [str(tmp_path / a) if a.endswith(".txt") else a for a in CONFLICTS[key]]
+        code = main(["update", "-i", str(workdir / "corpus.txt"), "--index", str(idx), *args])
         assert code == 1
         assert "conflicts" in capsys.readouterr().err
+        assert idx.read_bytes() == before
+
+    def test_settings_equal_to_the_index_are_accepted(self, workdir, tmp_path):
+        idx = tmp_path / "same.risp"
+        main(["build", "-i", str(workdir / "corpus.txt"), "-o", str(idx), *BUILD_FLAGS])
+        conf = tmp_path / "conf.txt"
+        conf.write_text("dim=64\nlowercase=true\nwindow=11\n", encoding="utf-8")
+        code = main(["update", "-i", str(workdir / "corpus.txt"), "--index", str(idx),
+                     "--config", str(conf), *BUILD_FLAGS])
+        assert code == 0
 
     def test_held_lock_blocks_the_update(self, workdir, tmp_path, capsys):
         idx = tmp_path / "lock.risp"

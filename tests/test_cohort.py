@@ -8,7 +8,6 @@ from risp.cohort import (
     Cohort,
     build_cohort,
     cohort_units,
-    gram_matrix,
     gram_of_units,
     load_gram_fixture,
     save_gram_fixture,
@@ -62,7 +61,7 @@ class TestGram:
 
     def test_matches_pairwise_similarities(self, tiny_space):
         cohort = build_cohort(tiny_space, "mantle", min_sim=-1.0, cap=6)
-        gram = gram_matrix(tiny_space, cohort)
+        gram = gram_of_units(cohort_units(tiny_space, cohort))
         for i, a in enumerate(cohort.members):
             for j, b in enumerate(cohort.members):
                 if i != j:

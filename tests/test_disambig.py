@@ -7,7 +7,7 @@ from conftest import random_units
 from oracles import agglomerate
 from planted import cluster_purity, planted_corpus
 from risp import IngestConfig, SpaceConfig, build
-from risp.cohort import build_cohort, gram_matrix, gram_of_units
+from risp.cohort import build_cohort, cohort_units, gram_of_units
 from risp.disambig import (
     DisambigConfig,
     batch_disambiguate,
@@ -16,7 +16,6 @@ from risp.disambig import (
     disambiguate_from_gram,
     evaluate_level,
     init_clusters,
-    label_sense,
     merge_closest,
     summarize,
 )
@@ -79,9 +78,8 @@ class TestMergeMechanics:
             by_sums = merge_closest(by_sums)
             assert by_gram.merged_pair == by_sums.merged_pair
             assert np.allclose(by_gram.gram(), by_sums.gram(), atol=1e-12)
-            sums_gram = gram_of_units(
-                by_sums.sums / np.linalg.norm(by_sums.sums, axis=1, keepdims=True)
-            )
+            sums = np.stack([units[list(rows)].sum(axis=0) for rows in by_sums.origin])
+            sums_gram = gram_of_units(sums / np.linalg.norm(sums, axis=1, keepdims=True))
             assert np.allclose(by_gram.gram(), sums_gram, atol=1e-9)
 
     def test_merge_and_evaluation_need_two_clusters(self):
@@ -293,7 +291,7 @@ class TestSpaceBackedRuns:
         space, pseudo, _ = planted
         cfg = DisambigConfig()
         cohort = build_cohort(space, pseudo, cfg.cohort_min_sim, cfg.cohort_cap)
-        gram = gram_matrix(space, cohort)
+        gram = gram_of_units(cohort_units(space, cohort))
         via_space = disambiguate(space, pseudo, cfg)
         via_gram = disambiguate_from_gram(
             cohort.members, gram, cohort.sims_to_target, cfg, term=pseudo
@@ -327,13 +325,6 @@ class TestSpaceBackedRuns:
             for name in sense.label:
                 assert name in space
 
-    def test_label_sense_requires_a_vector(self, planted):
-        space, _, _ = planted
-        from risp.disambig import Sense
-        bare = Sense(members=("x",), sim_to_parent=0.5, label=())
-        with pytest.raises(ValueError):
-            label_sense(space, bare)
-
     def test_frequency_band_is_enforced_unless_forced(self, planted):
         space, pseudo, _ = planted
         tight = DisambigConfig(min_freq=1, max_freq=2)
@@ -363,16 +354,6 @@ class TestBatch:
         assert pseudo in names
         assert "s0w000" in names
         assert "not-a-term" not in names
-
-    def test_threaded_batch_matches_sequential(self, planted_batch):
-        space, pseudo, _ = planted_batch
-        wanted = [pseudo, "s0w000", "s1w005", "bg0000"]
-        sequential = [r.to_dict() for r in batch_disambiguate(space, terms=wanted)]
-        threaded = [
-            r.to_dict()
-            for r in batch_disambiguate(space, terms=wanted, n_workers=3)
-        ]
-        assert threaded == sequential
 
     def test_summary_tallies_sense_counts(self, planted_batch):
         space, pseudo, _ = planted_batch

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import accumulate_naive
 from risp import IngestConfig, SemanticSpace, SpaceConfig, build, update
 from risp.errors import UnknownTermError, ZeroVectorError
+from risp.ingest import scan_frequencies, significant_terms
 from risp.seeds import SeedScheme
 from risp.space import distance
 
@@ -244,6 +245,37 @@ class TestUpdate:
         assert np.array_equal(staged._sums, whole._sums)
         assert np.array_equal(staged._events, whole._events)
         assert staged.freq == whole.freq
+
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=10).map(" ".join),
+            min_size=2, max_size=10,
+        ),
+        data=st.data(),
+        min_count=st.integers(min_value=1, max_value=3),
+        max_doc_frequency=st.sampled_from([0.5, 0.75, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_staged_equals_one_pass_when_the_first_stage_fixes_significance(
+        self, docs, data, min_count, max_doc_frequency
+    ):
+        # The incremental contract as the README states it: a staged build
+        # equals one pass bit for bit whenever the significant set after the
+        # first stage equals the one computed from the whole corpus.
+        split = data.draw(st.integers(min_value=1, max_value=len(docs) - 1), label="split")
+        cfg = IngestConfig(min_count=min_count, max_doc_frequency=max_doc_frequency)
+        first = significant_terms(scan_frequencies(docs[:split], cfg), cfg)
+        if first != significant_terms(scan_frequencies(docs, cfg), cfg):
+            return  # the contract promises nothing here
+        space_cfg = SpaceConfig.create(dim=8, window=5)
+        whole = build(docs, cfg, space_cfg)
+        staged = update(build(docs[:split], cfg, space_cfg), docs[split:])
+        assert staged.terms() == whole.terms()
+        assert np.array_equal(staged._sums, whole._sums)
+        assert np.array_equal(staged._events, whole._events)
+        assert np.array_equal(staged._frequency, whole._frequency)
+        assert staged.freq == whole.freq
+        assert staged.docs_ingested == whole.docs_ingested
 
     def test_update_promotes_terms_that_cross_min_count(self):
         cfg = IngestConfig(min_count=3, max_doc_frequency=1.0)

@@ -59,6 +59,22 @@ class TestRoundTrip:
         assert loaded.config == space.config
         assert loaded.ingest_config == space.ingest_config
 
+    def test_counts_survive_a_drift_out_of_significance(self, tmp_path):
+        # "mantle" is in one of four documents, then in every document of the
+        # update: it crosses max_doc_frequency and stops accumulating, while
+        # the frequency table keeps counting it.
+        cfg = IngestConfig(min_count=1, max_doc_frequency=0.5)
+        space = build(["mantle flask", "stirrer rod", "clamp tube", "funnel cork"],
+                      cfg, SpaceConfig.create(dim=8))
+        update(space, ["mantle stirrer mantle", "mantle clamp", "mantle funnel"])
+        assert "mantle" in space
+        assert space.term_vector("mantle").frequency < space.freq.total_count("mantle")
+        path = tmp_path / "space.risp"
+        save_index(space, path)
+        loaded = load_index(path)
+        assert loaded.freq == space.freq
+        assert loaded.freq.total_count("mantle") == 5
+
     def test_tail_counts_survive(self, tmp_path):
         space = make_space()
         path = tmp_path / "space.risp"
@@ -163,6 +179,14 @@ class TestCorruption:
         with pytest.raises(IndexFormatError) as err:
             load_index(path)
         assert "version" in str(err.value)
+
+    def test_nonzero_reserved_header_byte_is_rejected(self, tmp_path):
+        path = tmp_path / "space.risp"
+        save_index(make_space(), path)
+        self.corrupt(path, 16, delta=0x01)  # magic, version, dim, window, then the byte
+        with pytest.raises(IndexFormatError) as err:
+            load_index(path)
+        assert "reserved" in str(err.value)
 
     def test_trailing_garbage_is_rejected(self, tmp_path):
         path = tmp_path / "space.risp"
