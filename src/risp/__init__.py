@@ -5,10 +5,10 @@ arrive, and induce word senses from nothing but the space itself.
 
 Quick start::
 
-    from risp import IngestConfig, SpaceConfig, build, disambiguate
+    from risp import IngestConfig, SpaceConfig, build, disambiguate, save_index
 
     space = build(["a corpus of", "document strings"], IngestConfig(min_count=1))
-    space.save("corpus.risp")
+    save_index(space, "corpus.risp")
     report = disambiguate(space, "corpus")
 """
 

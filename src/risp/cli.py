@@ -15,7 +15,11 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .cohort import load_gram_fixture
@@ -34,7 +38,9 @@ from .errors import (
     ZeroVectorError,
 )
 from .ingest import IngestConfig, open_corpus
+from .seeds import GAUSSIAN, TERNARY
 from .space import SemanticSpace, SpaceConfig, build, update
+from .storage import load_index, save_index
 
 ENV_INDEX = "RISP_INDEX"
 
@@ -115,19 +121,58 @@ def _add_corpus_flags(p) -> None:
                    help="lines: one document per line; dir: one per *.txt file")
 
 
+class _Setting(NamedTuple):
+    """One build setting: config-file key, type, config field and flag.
+
+    ``attr`` is an attribute path in IngestConfig ("ingest") or SpaceConfig
+    ("space"); its last name is the IngestConfig field or SpaceConfig.create
+    argument. A bool setting's flag sets the opposite of its default.
+    """
+
+    key: str
+    kind: type
+    config: str
+    attr: str
+    flag: str
+    choices: tuple | None = None
+    help: str | None = None
+
+
+_SETTINGS = (
+    _Setting("dim", int, "space", "dim", "--dim"),
+    _Setting("window", int, "space", "window", "--window"),
+    _Setting("global_seed", int, "space", "seed_scheme.global_seed", "--global-seed"),
+    _Setting("distribution", str, "space", "seed_scheme.distribution", "--distribution",
+             choices=(GAUSSIAN, TERNARY)),
+    _Setting("ternary_k", int, "space", "seed_scheme.ternary_nonzeros", "--ternary-k"),
+    _Setting("min_count", int, "ingest", "min_count", "--min-count"),
+    _Setting("max_doc_freq", float, "ingest", "max_doc_frequency", "--max-doc-freq"),
+    _Setting("stoplist", str, "ingest", "stoplist", "--stoplist",
+             help="file with one stoplist term per line"),
+    _Setting("lowercase", bool, "ingest", "lowercase", "--no-lowercase"),
+    _Setting("drop_digits", bool, "ingest", "drop_digit_tokens", "--drop-digits"),
+    _Setting("split_sentences", bool, "ingest", "split_sentences", "--split-sentences"),
+)
+
+
+def _setting_values(ingest: IngestConfig, space: SpaceConfig) -> dict:
+    """Every setting's value as a pair of configs holds it."""
+    configs = {"ingest": ingest, "space": space}
+    return {s.key: attrgetter(s.attr)(configs[s.config]) for s in _SETTINGS}
+
+
+_DEFAULTS = _setting_values(IngestConfig(), SpaceConfig.create())
+
+
 def _add_config_flags(p) -> None:
     p.add_argument("--config", help="key=value settings file; explicit flags win")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--global-seed", type=int, default=None)
-    p.add_argument("--distribution", choices=("gaussian", "ternary"), default=None)
-    p.add_argument("--ternary-k", type=int, default=None)
-    p.add_argument("--min-count", type=int, default=None)
-    p.add_argument("--max-doc-freq", type=float, default=None)
-    p.add_argument("--stoplist", default=None, help="file with one stoplist term per line")
-    p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--drop-digits", action="store_true")
-    p.add_argument("--split-sentences", action="store_true")
+    for s in _SETTINGS:
+        if s.kind is bool:
+            p.add_argument(s.flag, dest=s.key, action="store_const",
+                           const=not _DEFAULTS[s.key], default=None)
+        else:
+            p.add_argument(s.flag, dest=s.key, type=s.kind, default=None,
+                           choices=s.choices, help=s.help)
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -156,88 +201,42 @@ def _coerce(value, kind):
     return kind(value)
 
 
-_SETTING_KINDS = {
-    "dim": int, "window": int, "global_seed": int, "distribution": str,
-    "ternary_k": int, "min_count": int, "max_doc_freq": float, "stoplist": str,
-    "lowercase": bool, "drop_digits": bool, "split_sentences": bool,
-}
-
-_SETTING_DEFAULTS = {
-    "dim": 300, "window": 11, "global_seed": 0, "distribution": "gaussian",
-    "ternary_k": 8, "min_count": 5, "max_doc_freq": 0.10, "stoplist": None,
-    "lowercase": True, "drop_digits": False, "split_sentences": False,
-}
-
-# Each setting's value as a loaded index holds it; the stoplist is compared
-# as the set of terms its file yields.
-_INDEX_SETTINGS = {
-    "dim": lambda s: s.config.dim,
-    "window": lambda s: s.config.window,
-    "global_seed": lambda s: s.config.seed_scheme.global_seed,
-    "distribution": lambda s: s.config.seed_scheme.distribution,
-    "ternary_k": lambda s: s.config.seed_scheme.ternary_nonzeros,
-    "min_count": lambda s: s.ingest_config.min_count,
-    "max_doc_freq": lambda s: s.ingest_config.max_doc_frequency,
-    "stoplist": lambda s: s.ingest_config.stoplist,
-    "lowercase": lambda s: s.ingest_config.lowercase,
-    "drop_digits": lambda s: s.ingest_config.drop_digit_tokens,
-    "split_sentences": lambda s: s.ingest_config.split_sentences,
-}
-
-
 def _given_settings(args) -> dict:
     """Settings the user gave: config file <- explicit flags, in increasing precedence."""
+    kinds = {s.key: s.kind for s in _SETTINGS}
     settings = {}
     if args.config:
         for key, raw in _parse_config_file(args.config).items():
-            if key not in _SETTING_KINDS:
+            if key not in kinds:
                 raise ValueError(f"unknown config key: {key!r}")
-            settings[key] = _coerce(raw, _SETTING_KINDS[key])
-    for key in ("dim", "window", "global_seed", "distribution", "ternary_k",
-                "min_count", "max_doc_freq", "stoplist"):
+            settings[key] = _coerce(raw, kinds[key])
+    for key in kinds:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    if args.no_lowercase:
-        settings["lowercase"] = False
-    if args.drop_digits:
-        settings["drop_digits"] = True
-    if args.split_sentences:
-        settings["split_sentences"] = True
     return settings
 
 
-def _read_stoplist(path, lowercase: bool) -> frozenset[str]:
-    if not path:
-        return frozenset()
-    entries = Path(path).read_text(encoding="utf-8").split()
-    return frozenset(e.lower() if lowercase else e for e in entries)
+def _read_stoplist(given: dict, lowercase: bool) -> dict:
+    """``given`` with its stoplist file, if any, replaced by the terms it yields."""
+    if "stoplist" not in given:
+        return given
+    path = given["stoplist"]
+    entries = Path(path).read_text(encoding="utf-8").split() if path else []
+    return {**given, "stoplist": frozenset(e.lower() if lowercase else e for e in entries)}
 
 
-def _configs_from_settings(settings) -> tuple[IngestConfig, SpaceConfig]:
-    ingest = IngestConfig(
-        min_count=settings["min_count"],
-        max_doc_frequency=settings["max_doc_freq"],
-        stoplist=_read_stoplist(settings["stoplist"], settings["lowercase"]),
-        lowercase=settings["lowercase"],
-        drop_digit_tokens=settings["drop_digits"],
-        split_sentences=settings["split_sentences"],
-    )
-    space_cfg = SpaceConfig.create(
-        dim=settings["dim"],
-        window=settings["window"],
-        global_seed=settings["global_seed"],
-        distribution=settings["distribution"],
-        ternary_nonzeros=settings["ternary_k"],
-    )
-    return ingest, space_cfg
+def _configs_from_settings(settings: dict) -> tuple[IngestConfig, SpaceConfig]:
+    kwargs = {"ingest": {}, "space": {}}
+    for s in _SETTINGS:
+        kwargs[s.config][s.attr.rpartition(".")[2]] = settings[s.key]
+    return IngestConfig(**kwargs["ingest"]), SpaceConfig.create(**kwargs["space"])
 
 
 def _update_conflicts(given: dict, space: SemanticSpace) -> list[str]:
     """One message per given setting that differs from the index's value."""
-    stored = {key: read(space) for key, read in _INDEX_SETTINGS.items()}
-    if "stoplist" in given:
-        given = {**given, "stoplist": _read_stoplist(given["stoplist"], stored["lowercase"])}
+    stored = _setting_values(space.ingest_config, space.config)
+    given = _read_stoplist(given, stored["lowercase"])
     return [
         f"{key}={value!r} conflicts with index value {stored[key]!r}"
         for key, value in given.items()
@@ -274,14 +273,16 @@ def _index_lock(index_path: str):
 
 def _cmd_build(args, parser) -> int:
     out_path = _require_index(args.output, parser)
-    ingest_cfg, space_cfg = _configs_from_settings({**_SETTING_DEFAULTS, **_given_settings(args)})
+    given = _given_settings(args)
+    given = _read_stoplist(given, given.get("lowercase", _DEFAULTS["lowercase"]))
+    ingest_cfg, space_cfg = _configs_from_settings({**_DEFAULTS, **given})
     corpus = open_corpus(args.input, args.input_format)
     started = time.perf_counter()
     space = build(corpus, ingest_cfg, space_cfg)
     if space.freq.total_docs == 0:
         print("error: no readable documents in corpus", file=sys.stderr)
         return 1
-    space.save(out_path)
+    save_index(space, out_path)
     elapsed = time.perf_counter() - started
     print(
         f"built {out_path}: {space.vocabulary_size} vocabulary terms, "
@@ -295,7 +296,7 @@ def _cmd_update(args, parser) -> int:
     index_path = _require_index(args.index, parser)
     given = _given_settings(args)
     with _index_lock(index_path):
-        space = SemanticSpace.load(index_path)
+        space = load_index(index_path)
         conflicts = _update_conflicts(given, space)
         for message in conflicts:
             print(f"error: {message}; updates reuse the stored config", file=sys.stderr)
@@ -303,16 +304,12 @@ def _cmd_update(args, parser) -> int:
             return 1
         corpus = open_corpus(args.input, args.input_format)
         before_terms = space.vocabulary_size
-        before_events = dict(zip(space.terms(), space._events.tolist()))
+        before = space._events.copy()
         started = time.perf_counter()
         update(space, corpus)
-        space.save(index_path)
+        save_index(space, index_path)
         elapsed = time.perf_counter() - started
-    changed = sum(
-        1
-        for term, events in zip(space.terms(), space._events.tolist())
-        if before_events.get(term, -1) != events and term in before_events
-    )
+    changed = np.count_nonzero(space._events[:before_terms] != before)
     print(
         f"updated {index_path}: +{space.vocabulary_size - before_terms} new terms, "
         f"{changed} changed, {space.vocabulary_size} total in {elapsed:.2f}s"
@@ -359,7 +356,7 @@ def _cmd_disambig(args, parser) -> int:
             emit(disambiguate_from_gram(labels, gram, gram[row], cfg, term=parent))
             return 0
 
-        space = SemanticSpace.load(_require_index(args.index, parser))
+        space = load_index(_require_index(args.index, parser))
         if args.batch:
             results = batch_disambiguate(space, cfg, terms=args.terms or None)
             summary_input = []
@@ -388,14 +385,14 @@ def _cmd_disambig(args, parser) -> int:
 
 
 def _cmd_neighbors(args, parser) -> int:
-    space = SemanticSpace.load(_require_index(args.index, parser))
+    space = load_index(_require_index(args.index, parser))
     for term, sim in space.neighbors(args.term, args.k):
         print(f"{term}\t{sim:.6f}")
     return 0
 
 
 def _cmd_sim(args, parser) -> int:
-    space = SemanticSpace.load(_require_index(args.index, parser))
+    space = load_index(_require_index(args.index, parser))
     terms = args.terms
     if len(terms) == 2:
         print(f"{space.similarity(terms[0], terms[1]):.6f}")
@@ -409,7 +406,7 @@ def _cmd_sim(args, parser) -> int:
 
 
 def _cmd_stats(args, parser) -> int:
-    space = SemanticSpace.load(_require_index(args.index, parser))
+    space = load_index(_require_index(args.index, parser))
     scheme = space.config.seed_scheme
     lines = [
         ("dimension", space.config.dim),

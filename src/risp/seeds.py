@@ -89,28 +89,22 @@ def seed_vector(term: str, scheme: SeedScheme) -> np.ndarray:
 
 
 class SeedBank:
-    """Caching seed-vector source for one scheme.
+    """Seed-vector source for one scheme.
 
-    Vectors are cached read-only. If two distinct terms ever land on the same
-    hash key (never observed; 128-bit keys) a warning is logged.
+    If two distinct terms ever land on the same hash key (never observed;
+    128-bit keys) a warning is logged.
     """
 
     def __init__(self, scheme: SeedScheme):
         self.scheme = scheme
-        self._cache: dict[str, np.ndarray] = {}
         self._keys: dict[int, str] = {}
 
     def vector(self, term: str) -> np.ndarray:
-        vec = self._cache.get(term)
-        if vec is None:
-            key = _philox_key(term, self.scheme.global_seed)
-            holder = self._keys.setdefault(key, term)
-            if holder != term:
-                logger.warning("seed hash collision: %r vs %r", holder, term)
-            vec = seed_vector(term, self.scheme)
-            vec.setflags(write=False)
-            self._cache[term] = vec
-        return vec
+        key = _philox_key(term, self.scheme.global_seed)
+        holder = self._keys.setdefault(key, term)
+        if holder != term:
+            logger.warning("seed hash collision: %r vs %r", holder, term)
+        return seed_vector(term, self.scheme)
 
     def matrix(self, terms) -> np.ndarray:
         """Seed vectors for a term sequence stacked into an (n, dim) array."""

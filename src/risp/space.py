@@ -74,7 +74,7 @@ class TermRecord:
     """Read-only view of one vocabulary entry."""
 
     term: str
-    frequency: int
+    frequency: int  # corpus total, including occurrences while not significant
     doc_count: int
     context_events: int
     sum: np.ndarray
@@ -101,8 +101,9 @@ class SemanticSpace:
 
     Vocabulary rows are stored columnar (terms list + one (V, dim) float64
     sum matrix) so accumulation and neighbor scans stay vectorized. The
-    frequency table tracks *every* term seen, vectors exist only for terms
-    that passed the significance filter at some ingestion pass.
+    frequency table tracks *every* term seen and holds every term's counts;
+    vectors exist only for terms that passed the significance filter at some
+    ingestion pass.
     """
 
     def __init__(self, config: SpaceConfig | None = None, ingest_config: IngestConfig | None = None):
@@ -114,7 +115,6 @@ class SemanticSpace:
         self._index: dict[str, int] = {}
         self._sums = np.zeros((0, self.config.dim))
         self._events = np.zeros(0, dtype=np.int64)
-        self._frequency = np.zeros(0, dtype=np.int64)
         self._seeds = SeedBank(self.config.seed_scheme)
         # None after a load; rebuilt from term strings when accumulation resumes.
         self._seed_rows: np.ndarray | None = np.zeros((0, self.config.dim))
@@ -146,7 +146,7 @@ class SemanticSpace:
         vec.setflags(write=False)
         return TermRecord(
             term=term,
-            frequency=int(self._frequency[row]),
+            frequency=self.freq.total_count(term),
             doc_count=self.freq.doc_count(term),
             context_events=int(self._events[row]),
             sum=vec,
@@ -157,37 +157,22 @@ class SemanticSpace:
             self._seed_rows = self._seeds.matrix(self._terms)
         return self._seed_rows
 
-    def _add_terms(self, terms: Sequence[str], initial_frequencies: Sequence[int]) -> None:
+    def _add_terms(self, terms: Sequence[str]) -> None:
         if not terms:
             return
         n = len(terms)
         self._seed_rows = np.vstack([self._seed_matrix(), self._seeds.matrix(terms)])
         self._sums = np.vstack([self._sums, np.zeros((n, self.config.dim))])
         self._events = np.concatenate([self._events, np.zeros(n, dtype=np.int64)])
-        self._frequency = np.concatenate(
-            [self._frequency, np.asarray(initial_frequencies, dtype=np.int64)]
-        )
         for term in terms:
             self._index[term] = len(self._terms)
             self._terms.append(term)
         self._invalidate()
 
-    def refresh_active(self, pending: FrequencyTable | None = None) -> set[str]:
-        """Recompute the significant set; grow the vocabulary for new entrants.
-
-        ``pending`` is the frequency table of documents about to be
-        accumulated: a newly eligible term's stored frequency starts at its
-        count from already-ingested documents, so that after accumulation it
-        equals the table total.
-        """
+    def refresh_active(self) -> set[str]:
+        """Recompute the significant set; grow the vocabulary for new entrants."""
         sig = significant_terms(self.freq, self.ingest_config)
-        new = sorted(t for t in sig if t not in self._index)
-        if new:
-            init = [
-                self.freq.total_count(t) - (pending.total_count(t) if pending else 0)
-                for t in new
-            ]
-            self._add_terms(new, init)
+        self._add_terms(sorted(t for t in sig if t not in self._index))
         self._active = {t: self._index[t] for t in sig}
         return sig
 
@@ -197,12 +182,6 @@ class SemanticSpace:
         if self._active is None:
             self.refresh_active()
         return self._active
-
-    def accumulate_document(self, tokens: Sequence[str]) -> "SemanticSpace":
-        """Fold one tokenized document (one window-clipping unit) in."""
-        self._accumulate_segment(tokens)
-        self.docs_ingested += 1
-        return self
 
     def _accumulate_segment(self, tokens: Sequence[str]) -> None:
         length = len(tokens)
@@ -233,7 +212,6 @@ class SemanticSpace:
         targets = rows[valid]
         np.add.at(self._sums, targets, windows[valid])
         np.add.at(self._events, targets, counts[valid])
-        np.add.at(self._frequency, targets, 1)
         self._invalidate()
 
     # -- similarity ------------------------------------------------------
@@ -301,19 +279,6 @@ class SemanticSpace:
         keep = np.nonzero(norms > 0)[0]
         return [self._terms[i] for i in keep], units[keep]
 
-    # -- persistence -----------------------------------------------------
-
-    def save(self, path) -> None:
-        from . import storage
-
-        storage.save_index(self, path)
-
-    @classmethod
-    def load(cls, path) -> "SemanticSpace":
-        from . import storage
-
-        return storage.load_index(path)
-
 
 def build(
     corpus,
@@ -329,7 +294,7 @@ def build(
     space = SemanticSpace(space_config, ingest_config)
     table = scan_frequencies(corpus, space.ingest_config)
     space.freq.merge(table)
-    space.refresh_active(pending=table)
+    space.refresh_active()
     _accumulate_corpus(space, corpus)
     return space
 
@@ -345,7 +310,7 @@ def update(space: SemanticSpace, corpus) -> SemanticSpace:
     corpus = as_corpus(corpus)
     delta = scan_frequencies(corpus, space.ingest_config)
     space.freq.merge(delta)
-    space.refresh_active(pending=delta)
+    space.refresh_active()
     _accumulate_corpus(space, corpus)
     return space
 

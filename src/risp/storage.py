@@ -241,7 +241,6 @@ def load_index(path) -> SemanticSpace:
     if vocab_count * (4 + 24 + 4 * dim) > len(data) - r.offset:
         raise IndexTruncatedError("vocabulary count exceeds remaining file size")
     terms: list[str] = []
-    frequencies = np.zeros(vocab_count, dtype=np.int64)
     events = np.zeros(vocab_count, dtype=np.int64)
     sums = np.zeros((vocab_count, dim))
     for row in range(int(vocab_count)):
@@ -250,7 +249,6 @@ def load_index(path) -> SemanticSpace:
         if frequency > _MAX_COUNT or context_events > _MAX_COUNT:
             raise IndexFormatError("counter exceeds the signed 64-bit range")
         terms.append(term)
-        frequencies[row] = frequency
         events[row] = context_events
         sums[row] = r.f32_block(dim)
         space.freq.total[term] = frequency
@@ -273,7 +271,6 @@ def load_index(path) -> SemanticSpace:
     space._index = {t: i for i, t in enumerate(terms)}
     space._sums = sums
     space._events = events
-    space._frequency = frequencies
     space._seed_rows = None  # recomputed on demand if accumulation resumes
     space._invalidate()
     return space

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import FIXTURES, TINY_DOCS
-from risp.cli import _SETTING_KINDS, main
+from risp.cli import _SETTINGS, _build_parser, _given_settings, main
 
 BUILD_FLAGS = ["--min-count", "3", "--max-doc-freq", "1.0", "--dim", "64"]
 
@@ -231,7 +231,31 @@ class TestUpdate:
         assert not (tmp_path / "upd.risp.lock").exists()
         assert main(["neighbors", "pears", "--index", str(idx), "-k", "1"]) == 0
 
-    @pytest.mark.parametrize("key", [*_SETTING_KINDS, "config"])
+    def test_reports_new_changed_and_total_terms(self, tmp_path, capsys):
+        corpus = tmp_path / "base.txt"
+        corpus.write_text("alpha beta gamma\nbeta gamma delta\n", encoding="utf-8")
+        more = tmp_path / "more.txt"
+        more.write_text("alpha beta epsilon\n", encoding="utf-8")
+        idx = tmp_path / "small.risp"
+        assert main(["build", "-i", str(corpus), "-o", str(idx),
+                     "--dim", "16", "--min-count", "1", "--max-doc-freq", "1.0"]) == 0
+        capsys.readouterr()
+        assert main(["update", "-i", str(more), "--index", str(idx)]) == 0
+        assert "+1 new terms, 2 changed, 5 total" in capsys.readouterr().out
+
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path):
+        assert set(CONFLICTS) == {s.key for s in _SETTINGS} | {"config"}
+        parser = _build_parser()
+        conf = tmp_path / "conf.txt"
+        for s in _SETTINGS:
+            assert CONFLICTS[s.key][0] == s.flag
+            from_flag = _given_settings(parser.parse_args(["update", "-i", "c", *CONFLICTS[s.key]]))
+            assert list(from_flag) == [s.key]
+            conf.write_text(f"{s.key}={from_flag[s.key]}\n", encoding="utf-8")
+            from_file = _given_settings(parser.parse_args(["update", "-i", "c", "--config", str(conf)]))
+            assert from_file == from_flag
+
+    @pytest.mark.parametrize("key", [*(s.key for s in _SETTINGS), "config"])
     def test_conflicting_settings_are_refused(self, workdir, tmp_path, capsys, key):
         idx = tmp_path / "conf.risp"
         main(["build", "-i", str(workdir / "corpus.txt"), "-o", str(idx), *BUILD_FLAGS])

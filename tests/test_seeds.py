@@ -103,13 +103,6 @@ class TestSchemeValidation:
 
 
 class TestSeedBank:
-    def test_cached_vectors_are_reused_and_read_only(self):
-        bank = SeedBank(SCHEME)
-        vec = bank.vector("mantle")
-        assert bank.vector("mantle") is vec
-        with pytest.raises(ValueError):
-            vec[0] = 0.0
-
     def test_matrix_rows_match_individual_lookups(self):
         bank = SeedBank(SCHEME)
         terms = ["alpha", "beta", "gamma"]

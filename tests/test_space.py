@@ -273,7 +273,6 @@ class TestUpdate:
         assert staged.terms() == whole.terms()
         assert np.array_equal(staged._sums, whole._sums)
         assert np.array_equal(staged._events, whole._events)
-        assert np.array_equal(staged._frequency, whole._frequency)
         assert staged.freq == whole.freq
         assert staged.docs_ingested == whole.docs_ingested
 
