@@ -10,29 +10,26 @@ Quick start::
     space = build(["a corpus of", "document strings"], IngestConfig(min_count=1))
     save_index(space, "corpus.risp")
     report = disambiguate(space, "corpus")
+
+The package exports 25 names: the three configs (``IngestConfig``,
+``SpaceConfig``, ``DisambigConfig``); ``build``, ``update``, ``load_index``
+and ``save_index``; ``SemanticSpace``; ``disambiguate``,
+``batch_disambiguate`` and ``disambiguate_from_gram`` with their results
+``Disambiguation`` and ``Sense``; the eight errors; ``open_corpus``,
+``tokenize``, ``distance`` and ``load_gram_fixture``. Everything else is
+imported from its submodule: the clustering seams (``risp.disambig``,
+``risp.cohort``), the corpus classes and frequency scan (``risp.ingest``)
+and the seed helpers (``risp.seeds``).
 """
 
-from .cohort import (
-    Cohort,
-    build_cohort,
-    load_gram_fixture,
-    save_gram_fixture,
-)
+from .cohort import load_gram_fixture
 from .disambig import (
-    BatchSummary,
-    ClusterState,
     DisambigConfig,
     Disambiguation,
-    LevelResult,
     Sense,
     batch_disambiguate,
-    cluster_trajectory,
     disambiguate,
     disambiguate_from_gram,
-    evaluate_level,
-    init_clusters,
-    merge_closest,
-    summarize,
 )
 from .errors import (
     FrequencyBandError,
@@ -44,75 +41,36 @@ from .errors import (
     UnknownTermError,
     ZeroVectorError,
 )
-from .ingest import (
-    DirCorpus,
-    FrequencyTable,
-    IngestConfig,
-    LineCorpus,
-    MemoryCorpus,
-    open_corpus,
-    scan_frequencies,
-    significant_terms,
-    tokenize,
-)
-from .seeds import (
-    OrthogonalityStats,
-    SeedBank,
-    SeedScheme,
-    orthogonality_stats,
-    seed_vector,
-)
-from .space import SemanticSpace, SpaceConfig, TermRecord, build, distance, update
+from .ingest import IngestConfig, open_corpus, tokenize
+from .space import SemanticSpace, SpaceConfig, build, distance, update
 from .storage import load_index, save_index
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchSummary",
-    "ClusterState",
-    "Cohort",
-    "DirCorpus",
     "DisambigConfig",
     "Disambiguation",
     "FrequencyBandError",
-    "FrequencyTable",
     "IndexChecksumError",
     "IndexFormatError",
     "IndexTruncatedError",
     "IngestConfig",
-    "LevelResult",
-    "LineCorpus",
     "LockHeldError",
-    "MemoryCorpus",
-    "OrthogonalityStats",
     "RispError",
-    "SeedBank",
-    "SeedScheme",
     "SemanticSpace",
     "Sense",
     "SpaceConfig",
-    "TermRecord",
     "UnknownTermError",
     "ZeroVectorError",
     "batch_disambiguate",
     "build",
-    "build_cohort",
-    "cluster_trajectory",
     "disambiguate",
     "disambiguate_from_gram",
     "distance",
-    "evaluate_level",
-    "init_clusters",
     "load_gram_fixture",
     "load_index",
-    "merge_closest",
-    "orthogonality_stats",
-    "save_gram_fixture",
+    "open_corpus",
     "save_index",
-    "scan_frequencies",
-    "seed_vector",
-    "significant_terms",
-    "summarize",
     "tokenize",
     "update",
 ]

@@ -238,10 +238,15 @@ def _update_conflicts(given: dict, space: SemanticSpace) -> list[str]:
     stored = _setting_values(space.ingest_config, space.config)
     given = _read_stoplist(given, stored["lowercase"])
     return [
-        f"{key}={value!r} conflicts with index value {stored[key]!r}"
+        f"{key}={_shown(value)!r} conflicts with index value {_shown(stored[key])!r}"
         for key, value in given.items()
         if value != stored[key]
     ]
+
+
+def _shown(value):
+    """A setting's value as a message prints it: a stoplist as its sorted terms."""
+    return sorted(value) if isinstance(value, frozenset) else value
 
 
 def _require_index(path, parser) -> str:

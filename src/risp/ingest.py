@@ -110,9 +110,6 @@ class MemoryCorpus:
     def documents(self) -> Iterator[str]:
         yield from self._docs
 
-    def __len__(self) -> int:
-        return len(self._docs)
-
 
 class LineCorpus:
     """A newline-delimited corpus file: one document per line."""
@@ -130,14 +127,13 @@ class LineCorpus:
 class DirCorpus:
     """A directory corpus: one document per ``*.txt`` file, in sorted order."""
 
-    def __init__(self, path: str | Path, pattern: str = "*.txt"):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.pattern = pattern
         self.skipped = 0
 
     def documents(self) -> Iterator[str]:
         self.skipped = 0
-        for p in sorted(self.path.glob(self.pattern)):
+        for p in sorted(self.path.glob("*.txt")):
             try:
                 text = p.read_text(encoding="utf-8", errors="replace")
             except OSError as exc:

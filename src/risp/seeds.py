@@ -20,8 +20,6 @@ logger = logging.getLogger(__name__)
 
 GAUSSIAN = "gaussian"
 TERNARY = "ternary"
-_DISTRIBUTION_CODES = {GAUSSIAN: 0, TERNARY: 1}
-_DISTRIBUTION_NAMES = {v: k for k, v in _DISTRIBUTION_CODES.items()}
 
 _MAX_SEED = 2**64
 
@@ -40,22 +38,12 @@ class SeedScheme:
             raise ValueError("dim must be >= 2")
         if not 0 <= self.global_seed < _MAX_SEED:
             raise ValueError("global_seed must fit in 64 bits")
-        if self.distribution not in _DISTRIBUTION_CODES:
+        if self.distribution not in (GAUSSIAN, TERNARY):
             raise ValueError(f"unknown distribution: {self.distribution!r}")
         if self.distribution == TERNARY:
             k = self.ternary_nonzeros
             if not 0 < k <= self.dim or k % 2 != 0:
                 raise ValueError("ternary_nonzeros must be even and in (0, dim]")
-
-    @property
-    def distribution_code(self) -> int:
-        return _DISTRIBUTION_CODES[self.distribution]
-
-    @staticmethod
-    def distribution_name(code: int) -> str:
-        if code not in _DISTRIBUTION_NAMES:
-            raise ValueError(f"unknown distribution code: {code}")
-        return _DISTRIBUTION_NAMES[code]
 
 
 def _philox_key(term: str, global_seed: int) -> int:

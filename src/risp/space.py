@@ -34,17 +34,18 @@ SIM_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class SpaceConfig:
-    """Geometry of a semantic space: dimensionality, window, seed scheme."""
+    """Geometry of a semantic space: window and seed scheme (which fixes dim)."""
 
-    dim: int = 300
     window: int = 11
     seed_scheme: SeedScheme = SeedScheme()
 
     def __post_init__(self) -> None:
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 3")
-        if self.dim != self.seed_scheme.dim:
-            raise ValueError("dim must match seed_scheme.dim")
+
+    @property
+    def dim(self) -> int:
+        return self.seed_scheme.dim
 
     @property
     def radius(self) -> int:
@@ -66,7 +67,7 @@ class SpaceConfig:
             distribution=distribution,
             ternary_nonzeros=ternary_nonzeros,
         )
-        return cls(dim=dim, window=window, seed_scheme=scheme)
+        return cls(window=window, seed_scheme=scheme)
 
 
 @dataclass(frozen=True)
@@ -285,38 +286,28 @@ def build(
     ingest_config: IngestConfig | None = None,
     space_config: SpaceConfig | None = None,
 ) -> SemanticSpace:
-    """Two-pass build: scan frequencies, then accumulate context windows.
+    """A new space holding ``corpus``: the first :func:`update` of an empty space.
 
     ``corpus`` may be a corpus object, a path, or a sequence of document
     strings; it is iterated twice, so it must be re-iterable.
     """
-    corpus = as_corpus(corpus)
-    space = SemanticSpace(space_config, ingest_config)
-    table = scan_frequencies(corpus, space.ingest_config)
-    space.freq.merge(table)
-    space.refresh_active()
-    _accumulate_corpus(space, corpus)
-    return space
+    return update(SemanticSpace(space_config, ingest_config), corpus)
 
 
 def update(space: SemanticSpace, corpus) -> SemanticSpace:
     """Fold additional documents into an existing space, in place.
 
-    Significance is re-checked against the merged counts: terms crossing
-    min_count gain vectors and accumulate from this delta onward; existing
-    vectors are never rescaled or dropped. Single-writer discipline is the
-    caller's responsibility (the CLI takes a lock file).
+    Two passes over ``corpus``: scan its frequencies, then accumulate its
+    context windows. Significance is re-checked against the merged counts:
+    terms crossing min_count gain vectors and accumulate from this delta
+    onward; existing vectors are never rescaled or dropped. Single-writer
+    discipline is the caller's responsibility (the CLI takes a lock file).
     """
     corpus = as_corpus(corpus)
-    delta = scan_frequencies(corpus, space.ingest_config)
-    space.freq.merge(delta)
+    space.freq.merge(scan_frequencies(corpus, space.ingest_config))
     space.refresh_active()
-    _accumulate_corpus(space, corpus)
-    return space
-
-
-def _accumulate_corpus(space: SemanticSpace, corpus) -> None:
     for doc in corpus.documents():
         for segment in token_segments(doc, space.ingest_config):
             space._accumulate_segment(segment)
         space.docs_ingested += 1
+    return space

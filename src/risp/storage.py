@@ -33,11 +33,15 @@ import numpy as np
 
 from .errors import IndexChecksumError, IndexFormatError, IndexTruncatedError
 from .ingest import IngestConfig
-from .seeds import SeedScheme
+from .seeds import GAUSSIAN, TERNARY, SeedScheme
 from .space import SemanticSpace, SpaceConfig
 
 MAGIC = b"RISP"
 VERSION = 1
+
+# The header's distribution byte.
+_DISTRIBUTION_CODES = {GAUSSIAN: 0, TERNARY: 1}
+_DISTRIBUTION_NAMES = {code: name for name, code in _DISTRIBUTION_CODES.items()}
 
 # Counters travel as u64 but live in int64 arrays in memory.
 _MAX_COUNT = 2**63 - 1
@@ -147,7 +151,7 @@ def save_index(space: SemanticSpace, path) -> None:
     w.raw(MAGIC)
     w.pack("<I", VERSION)
     w.pack("<IIBBI", cfg.dim, cfg.window, 0,
-           cfg.seed_scheme.distribution_code, cfg.seed_scheme.ternary_nonzeros)
+           _DISTRIBUTION_CODES[cfg.seed_scheme.distribution], cfg.seed_scheme.ternary_nonzeros)
     w.pack("<Q", cfg.seed_scheme.global_seed)
     w.pack("<Id", ing.min_count, ing.max_doc_frequency)
     w.pack("<BBB", int(ing.lowercase), int(ing.drop_digit_tokens), int(ing.split_sentences))
@@ -204,6 +208,8 @@ def load_index(path) -> SemanticSpace:
     dim, window, reserved, dist_code, ternary_k = r.unpack("<IIBBI")
     if reserved != 0:
         raise IndexFormatError(f"invalid index header: reserved byte is {reserved}, not 0")
+    if dist_code not in _DISTRIBUTION_NAMES:
+        raise IndexFormatError(f"invalid index header: unknown distribution code: {dist_code}")
     (global_seed,) = r.unpack("<Q")
     min_count, max_doc_frequency = r.unpack("<Id")
     lowercase, drop_digits, split_sentences = r.unpack("<BBB")
@@ -215,10 +221,10 @@ def load_index(path) -> SemanticSpace:
         scheme = SeedScheme(
             dim=dim,
             global_seed=global_seed,
-            distribution=SeedScheme.distribution_name(dist_code),
-            ternary_nonzeros=ternary_k if ternary_k else 8,
+            distribution=_DISTRIBUTION_NAMES[dist_code],
+            ternary_nonzeros=ternary_k,
         )
-        space_config = SpaceConfig(dim=dim, window=window, seed_scheme=scheme)
+        space_config = SpaceConfig(window=window, seed_scheme=scheme)
         ingest_config = IngestConfig(
             min_count=min_count,
             max_doc_frequency=max_doc_frequency,

@@ -1,9 +1,14 @@
 """End-to-end command-line flows through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import risp
 from conftest import FIXTURES, TINY_DOCS
 from risp.cli import _SETTINGS, _build_parser, _given_settings, main
 
@@ -268,6 +273,34 @@ class TestUpdate:
         assert code == 1
         assert "conflicts" in capsys.readouterr().err
         assert idx.read_bytes() == before
+
+    def test_stoplist_conflicts_print_the_same_under_any_hash_seed(self, workdir, tmp_path):
+        idx = tmp_path / "stop.risp"
+        main(["build", "-i", str(workdir / "corpus.txt"), "-o", str(idx), *BUILD_FLAGS])
+        stoplist = tmp_path / "stoplist.txt"
+        stoplist.write_text("the of and to in w1 w2 a\n", encoding="utf-8")
+        package_root = str(Path(risp.__file__).resolve().parent.parent)
+
+        def stderr_under(hash_seed):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+                   "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run(
+                [sys.executable, "-m", "risp.cli", "update", "-i", str(workdir / "corpus.txt"),
+                 "--index", str(idx), "--stoplist", str(stoplist)],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert done.returncode == 1
+            return done.stderr
+
+        first = stderr_under(1)
+        assert "['a', 'and', 'in', 'of', 'the', 'to', 'w1', 'w2']" in first
+        assert stderr_under(2) == first
+
+    def test_a_ternary_k_of_0_is_accepted_by_the_update(self, workdir, tmp_path):
+        idx = tmp_path / "k0.risp"
+        corpus = str(workdir / "corpus.txt")
+        assert main(["build", "-i", corpus, "-o", str(idx), *BUILD_FLAGS, "--ternary-k", "0"]) == 0
+        assert main(["update", "-i", corpus, "--index", str(idx), "--ternary-k", "0"]) == 0
 
     def test_settings_equal_to_the_index_are_accepted(self, workdir, tmp_path):
         idx = tmp_path / "same.risp"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risp.seeds import (
-    GAUSSIAN,
     TERNARY,
     SeedBank,
     SeedScheme,
@@ -93,13 +92,6 @@ class TestSchemeValidation:
     def test_rejects_bad_ternary_counts(self, k):
         with pytest.raises(ValueError):
             SeedScheme(dim=300, distribution=TERNARY, ternary_nonzeros=k)
-
-    def test_distribution_codes_round_trip(self):
-        for name in (GAUSSIAN, TERNARY):
-            scheme = SeedScheme(distribution=name)
-            assert SeedScheme.distribution_name(scheme.distribution_code) == name
-        with pytest.raises(ValueError):
-            SeedScheme.distribution_name(9)
 
 
 class TestSeedBank:

@@ -9,7 +9,6 @@ from oracles import accumulate_naive
 from risp import IngestConfig, SemanticSpace, SpaceConfig, build, update
 from risp.errors import UnknownTermError, ZeroVectorError
 from risp.ingest import scan_frequencies, significant_terms
-from risp.seeds import SeedScheme
 from risp.space import distance
 
 PERMISSIVE = IngestConfig(min_count=1, max_doc_frequency=1.0)
@@ -26,10 +25,6 @@ class TestSpaceConfig:
             SpaceConfig.create(window=10)
         with pytest.raises(ValueError):
             SpaceConfig.create(window=1)
-
-    def test_dimension_must_match_the_seed_scheme(self):
-        with pytest.raises(ValueError):
-            SpaceConfig(dim=64, seed_scheme=SeedScheme(dim=300))
 
     def test_radius_is_half_the_window(self):
         assert SpaceConfig.create(window=11).radius == 5

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risp import IngestConfig, SemanticSpace, SpaceConfig, build, significant_terms, update
+from risp import IngestConfig, SemanticSpace, SpaceConfig, build, update
 from risp.errors import IndexChecksumError, IndexFormatError, IndexTruncatedError
+from risp.ingest import significant_terms
+from risp.seeds import GAUSSIAN, TERNARY
 from risp.storage import crc64, load_index, save_index
 
 # "rare" appears once, below min_count, so the index carries a tail entry.
@@ -57,6 +59,25 @@ class TestRoundTrip:
         assert loaded.docs_ingested == space.docs_ingested
         assert loaded.config == space.config
         assert loaded.ingest_config == space.ingest_config
+
+    def test_distribution_codes_round_trip(self, tmp_path):
+        path = tmp_path / "space.risp"
+        for name in (GAUSSIAN, TERNARY):
+            config = SpaceConfig.create(dim=16, distribution=name)
+            save_index(SemanticSpace(config), path)
+            assert load_index(path).config == config
+        data = bytearray(path.read_bytes())
+        data[17] = 9  # magic, version, dim, window, reserved byte, then the code
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError) as err:
+            load_index(path)
+        assert "distribution" in str(err.value)
+
+    def test_a_gaussian_scheme_keeps_a_ternary_k_of_0(self, tmp_path):
+        config = SpaceConfig.create(dim=16, ternary_nonzeros=0)
+        path = tmp_path / "space.risp"
+        save_index(build(DOCS, CFG, config), path)
+        assert load_index(path).config == config
 
     def test_counts_survive_a_drift_out_of_significance(self, tmp_path):
         # "mantle" is in one of four documents, then in every document of the
