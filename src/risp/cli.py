@@ -322,24 +322,24 @@ def _cmd_update(args, parser) -> int:
     return 0
 
 
+# disambig flag (argparse dest) -> DisambigConfig field; None means "not given".
+_DISAMBIG_FIELDS = (
+    ("min_sim", "cohort_min_sim"),
+    ("threshold", "separation_threshold"),
+    ("min_freq", "min_freq"),
+    ("max_freq", "max_freq"),
+    ("label_len", "label_len"),
+    ("cap", "cohort_cap"),
+)
+
+
 def _disambig_config(args) -> DisambigConfig:
-    kwargs = {}
-    if args.min_sim is not None:
-        kwargs["cohort_min_sim"] = args.min_sim
-    if args.threshold is not None:
-        kwargs["separation_threshold"] = args.threshold
+    kwargs = {field: getattr(args, dest) for dest, field in _DISAMBIG_FIELDS
+              if getattr(args, dest) is not None}
     if args.levels is not None:
         kwargs["levels"] = tuple(int(part) for part in args.levels.split(","))
-    if args.min_freq is not None:
-        kwargs["min_freq"] = args.min_freq
-    if args.max_freq is not None:
-        kwargs["max_freq"] = args.max_freq
-    if args.label_len is not None:
-        kwargs["label_len"] = args.label_len
     if args.global_labels:
         kwargs["label_mode"] = "global"
-    if args.cap is not None:
-        kwargs["cohort_cap"] = args.cap
     return DisambigConfig(**kwargs)
 
 
@@ -363,22 +363,19 @@ def _cmd_disambig(args, parser) -> int:
 
         space = load_index(_require_index(args.index, parser))
         if args.batch:
-            results = batch_disambiguate(space, cfg, terms=args.terms or None)
-            summary_input = []
-            produced = 0
-            for result in results:
-                emit(result)
-                produced += 1
-                if args.summary:
-                    summary_input.append(result)
+            def emitted():
+                for result in batch_disambiguate(space, cfg, terms=args.terms or None):
+                    emit(result)
+                    yield result
+
+            tally = summarize(emitted())  # counts as it goes; no record is kept
             if args.summary:
-                tally = summarize(summary_input)
                 print(
                     f"processed {tally.terms_processed} terms; senses: "
                     + ", ".join(f"{k}: {v}" for k, v in tally.by_sense_count.items()),
                     file=sys.stderr,
                 )
-            return 0 if produced else 2
+            return 0 if tally.terms_processed else 2
         if not args.terms:
             parser.error("disambig needs TERM arguments, --batch, or --gram")
         for term in args.terms:

@@ -1,7 +1,8 @@
 """Similarity cohorts and their gram matrices.
 
 A term's cohort is every vocabulary term at least ``min_sim`` similar to it,
-the term itself included at similarity 1.0. The cohort's gram matrix of all
+the term itself included at similarity 1.0: the term's ``neighbors`` ranking
+cut at ``min_sim`` and at the cap. The cohort's gram matrix of all
 pairwise similarities is the complete input to sense clustering, which is why
 a canned matrix (fixture or external tool output) can be clustered without
 any space at hand.
@@ -40,25 +41,15 @@ def build_cohort(
 ) -> Cohort:
     """All vocabulary terms with similarity >= ``min_sim`` to ``term``.
 
-    The target is always a member (similarity 1.0, first). If more than
-    ``cap`` terms qualify, the most similar ``cap`` survive. Ties order
-    lexicographically.
+    The target is a member at similarity 1.0, first unless a term with a
+    parallel vector rounds to 1.0 or above. If more than ``cap`` terms
+    qualify, the most similar ``cap`` survive. Ties order lexicographically.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if not -1.0 <= min_sim <= 1.0:
         raise ValueError("min_sim must be in [-1, 1]")
-    target_unit = space.unit_vector(term)
-    terms, units = space.nonzero_unit_rows()
-    sims = units @ target_unit
-    scored = [
-        (terms[i], 1.0 if terms[i] == term else float(sims[i]))
-        for i in np.nonzero(sims >= min_sim)[0]
-    ]
-    if not any(name == term for name, _ in scored):
-        scored.append((term, 1.0))  # min_sim above 1.0 - rounding still keeps the target
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    scored = scored[:cap]
+    scored = [(name, sim) for name, sim in space.neighbors(term, cap) if sim >= min_sim]
     return Cohort(
         target=term,
         members=tuple(name for name, _ in scored),

@@ -120,8 +120,7 @@ class SemanticSpace:
         # None after a load; rebuilt from term strings when accumulation resumes.
         self._seed_rows: np.ndarray | None = np.zeros((0, self.config.dim))
         self._active: dict[str, int] | None = None
-        self._units: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
+        self._units: tuple[list[str], np.ndarray, np.ndarray] | None = None
 
     # -- vocabulary ------------------------------------------------------
 
@@ -219,23 +218,26 @@ class SemanticSpace:
 
     def _invalidate(self) -> None:
         self._units = None
-        self._norms = None
 
-    def _unit_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+    def _unit_cache(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Terms with context, their read-only unit rows, and each row's place (-1: none)."""
         if self._units is None:
             norms = np.linalg.norm(self._sums, axis=1)
-            inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-            self._units = self._sums * inverse[:, None]
-            self._norms = norms
-        return self._units, self._norms
+            keep = np.flatnonzero(norms > 0)
+            units = self._sums[keep] * (1.0 / norms[keep])[:, None]
+            units.setflags(write=False)
+            place = np.full(len(self._terms), -1, dtype=np.int64)
+            place[keep] = np.arange(len(keep))
+            self._units = ([self._terms[i] for i in keep], units, place)
+        return self._units
 
     def unit_vector(self, term: str) -> np.ndarray:
-        """The normalized context vector of a term."""
+        """The normalized context vector of a term, as a read-only row."""
         row = self._row(term)
-        units, norms = self._unit_matrix()
-        if norms[row] == 0.0:
+        _, units, place = self._unit_cache()
+        if place[row] < 0:
             raise ZeroVectorError(f"term has no accumulated context: {term!r}")
-        return units[row]
+        return units[place[row]]
 
     def similarity(self, term_a: str, term_b: str) -> float:
         """Cosine of the two accumulated vectors. Symmetric; self gives 1.0."""
@@ -253,10 +255,10 @@ class SemanticSpace:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        self_row = -1
+        place = None
         if isinstance(query, str):
-            self_row = self._row(query)
             vec = self.unit_vector(query)
+            place = self._unit_cache()[2][self._index[query]]
         else:
             vec = np.asarray(query, dtype=np.float64)
             if vec.shape != (self.config.dim,):
@@ -265,20 +267,25 @@ class SemanticSpace:
             if norm == 0.0:
                 raise ZeroVectorError("query vector has zero norm")
             vec = vec / norm
-        units, norms = self._unit_matrix()
+        terms, units = self.nonzero_unit_rows()
         sims = units @ vec
-        scored = [
-            (self._terms[i], 1.0 if i == self_row else float(sims[i]))
-            for i in np.nonzero(norms > 0)[0]
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        if place is not None:
+            sims[place] = 1.0
+        rows = range(len(sims))
+        if k < len(sims):  # every row tied with the k-th score stays, so names break the tie
+            rows = np.flatnonzero(sims >= np.partition(sims, -k)[-k])
+        scored = sorted(((terms[i], float(sims[i])) for i in rows),
+                        key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]
 
     def nonzero_unit_rows(self) -> tuple[list[str], np.ndarray]:
-        """All terms with context, plus their unit vectors, row-aligned."""
-        units, norms = self._unit_matrix()
-        keep = np.nonzero(norms > 0)[0]
-        return [self._terms[i] for i in keep], units[keep]
+        """All terms with context, plus their unit vectors, row-aligned.
+
+        Both are the space's cache, not copies: the rows are read-only and
+        the list must not be changed.
+        """
+        terms, units, _ = self._unit_cache()
+        return terms, units
 
 
 def build(

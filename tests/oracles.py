@@ -74,3 +74,30 @@ def accumulate_naive(tokens, active, seed_of, dim, radius):
             sums[term] += seed_of(other)
             events[term] += 1
     return sums, events
+
+
+def scores(space, query):
+    """(term, similarity to ``query``) of every term with context, in vocabulary order.
+
+    ``query`` is a term, scored 1.0 against itself, or a vector. Sums are read
+    back through ``term_vector`` and normalized with the space's own
+    arithmetic, so the scores equal the space's bit for bit; the ranking
+    built on them by the caller is a plain full sort.
+    """
+    names = space.terms()
+    sums = np.zeros((0, space.config.dim))
+    if names:
+        sums = np.stack([space.term_vector(t).sum for t in names])
+    norms = np.linalg.norm(sums, axis=1)
+    keep = norms > 0
+    units = sums[keep] * (1.0 / norms[keep])[:, None]
+    names = [name for name, kept in zip(names, keep) if kept]
+    is_term = isinstance(query, str)
+    vec = units[names.index(query)] if is_term else query / float(np.linalg.norm(query))
+    return [(name, 1.0 if is_term and name == query else float(sim))
+            for name, sim in zip(names, units @ vec)]
+
+
+def by_rank(pairs):
+    """(term, similarity) pairs sorted by descending similarity, then by term."""
+    return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))

@@ -1,9 +1,15 @@
 """Cohort membership, gram matrices, and the fixture file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_units
+from oracles import by_rank, scores
+from risp import IngestConfig, SemanticSpace, SpaceConfig, build
 from risp.cohort import (
     Cohort,
     build_cohort,
@@ -12,6 +18,7 @@ from risp.cohort import (
     load_gram_fixture,
     save_gram_fixture,
 )
+from risp.errors import ZeroVectorError
 
 
 class TestBuildCohort:
@@ -50,6 +57,69 @@ class TestBuildCohort:
             build_cohort(tiny_space, "mantle", cap=0)
         with pytest.raises(ValueError):
             build_cohort(tiny_space, "mantle", min_sim=1.5)
+
+
+@st.composite
+def tied_spaces(draw):
+    """A small space with sums written directly: small-integer rows, exact twins, zero rows.
+
+    Twin rows make exactly equal scores, so the lexicographic tie break and
+    the cut through a run of ties are both exercised.
+    """
+    dim = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
+    rows += [[0] * dim] * draw(st.integers(0, 2))
+    names = draw(st.permutations([f"t{i:02d}" for i in range(len(rows))]))
+    space = SemanticSpace(SpaceConfig.create(dim=dim))
+    space._add_terms(names)
+    space._sums[:] = np.array(rows, dtype=np.float64)
+    return space
+
+
+class TestRankingAgainstAFullSort:
+    @given(space=tied_spaces(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_neighbors_and_cohorts_equal_a_full_sort(self, space, data):
+        names, _ = space.nonzero_unit_rows()
+        for term in set(space.terms()) - set(names):
+            with pytest.raises(ZeroVectorError):
+                space.neighbors(term, 1)
+        k = data.draw(st.integers(1, len(names) + 2), label="k")
+        dim = space.config.dim
+        vec = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+                                 .filter(any), label="vector"), dtype=np.float64)
+        assert space.neighbors(vec, k) == by_rank(scores(space, vec))[:k]
+        if not names:
+            return
+        term = data.draw(st.sampled_from(names), label="term")
+        pairs = scores(space, term)
+        assert space.neighbors(term, k) == by_rank(pairs)[:k]
+        bounded = [sim for _, sim in pairs if -1.0 <= sim <= 1.0]
+        min_sim = data.draw(st.sampled_from(bounded) | st.floats(-1.0, 1.0), label="min_sim")
+        cohort = build_cohort(space, term, min_sim, cap=k)
+        want = by_rank([(name, sim) for name, sim in pairs if sim >= min_sim])[:k]
+        assert list(zip(cohort.members, cohort.sims_to_target)) == want
+
+
+def test_cohorts_allocate_far_less_than_the_unit_matrix():
+    """Cost contract: a warm cohort scan copies no (V, dim) matrix."""
+    rng = np.random.default_rng(14)
+    words = [f"w{i:04d}" for i in range(1000)]
+    docs = [" ".join(rng.choice(words, 60)) for _ in range(300)]
+    permissive = IngestConfig(min_count=1, max_doc_frequency=1.0)
+    space = build(docs, permissive, SpaceConfig.create(dim=64))
+    terms = space.terms()
+    build_cohort(space, terms[0])  # builds the unit cache, outside the trace
+    tracemalloc.start()
+    try:
+        for term in terms[1:21]:
+            build_cohort(space, term)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(terms) * space.config.dim * 8 / 4
 
 
 class TestGram:

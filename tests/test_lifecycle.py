@@ -4,7 +4,9 @@ After every step the space is compared with a plain model: ``Counter``
 corpus counts, the vocabulary as the union of each stage's significant set
 (in the order the space appends it), and each term's context events and
 sum from a plain-loop replay of every stage, with seeds from
-``seed_vector``. A save->load->save must give the same bytes twice.
+``seed_vector``. A save->load->save must give the same bytes twice, and
+each term's ``neighbors`` must equal a full sort of scores worked out from
+its ``term_vector`` sums.
 """
 
 import shutil
@@ -13,11 +15,14 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from oracles import by_rank, scores
 from risp import IngestConfig, SpaceConfig, build, load_index, save_index, update
+from risp.errors import ZeroVectorError
 from risp.seeds import seed_vector
 
 WORDS = ("mantle", "flask", "stirrer", "condenser", "apples", "oranges", "market", "crates")
@@ -115,6 +120,18 @@ class Lifecycle(RuleBasedStateMachine):
                 want += n * seed_vector(other, self.config.seed_scheme)
             scale = 1.0 + float(np.abs(want).max())
             np.testing.assert_allclose(record.sum, want, rtol=0, atol=tolerance * scale)
+
+    @invariant()
+    def neighbors_match_a_full_sort_of_the_sums(self):
+        """A unit cache that outlives a build, update or load ranks stale sums."""
+        if self.space is None:
+            return
+        for term in self.space.terms():
+            if not self.space.term_vector(term).sum.any():
+                with pytest.raises(ZeroVectorError):
+                    self.space.neighbors(term, 3)
+                continue
+            assert self.space.neighbors(term, 3) == by_rank(scores(self.space, term))[:3]
 
 
 Lifecycle.TestCase.settings = settings(max_examples=150, stateful_step_count=8, deadline=None)

@@ -209,6 +209,12 @@ class TestQueries:
         with pytest.raises(ZeroVectorError):
             space.similarity("q", "q")
 
+    def test_unit_vectors_are_read_only(self, tiny_space):
+        before = tiny_space.similarity("mantle", "flask")
+        with pytest.raises(ValueError):
+            tiny_space.unit_vector("flask")[:] = 0.0
+        assert tiny_space.similarity("mantle", "flask") == before != 0.0
+
     def test_zero_vector_terms_never_appear_as_neighbors(self):
         space = small_space(["q", "a b", "b a"])
         names = [t for t, _ in space.neighbors("a", 10)]
